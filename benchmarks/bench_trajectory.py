@@ -171,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
         help="frozen pre-batching trajectory (e.g. benchmarks/results/"
              "BENCH_prebatch_baseline.json); the fresh run must beat its "
              "total wall time by --min-speedup and keep the P7Viterbi "
-             "share below the MSV share, else exit 1",
+             "and Forward shares below the MSV share, else exit 1",
     )
     parser.add_argument(
         "--min-speedup", type=float, default=2.0,
@@ -231,9 +231,11 @@ def main(argv: list[str] | None = None) -> int:
         )
         msv_share = doc["stages"]["msv"]["share"]
         vit_share = doc["stages"]["p7viterbi"]["share"]
+        fwd_share = doc["stages"]["forward"]["share"]
         print(f"speedup vs {args.speedup_baseline}: {speedup:.2f}x "
               f"(gate {args.min_speedup:.1f}x); "
-              f"msv share {msv_share:.3f}, p7viterbi share {vit_share:.3f}")
+              f"msv share {msv_share:.3f}, p7viterbi share {vit_share:.3f}, "
+              f"forward share {fwd_share:.3f}")
         failed = False
         if speedup < args.min_speedup:
             print(f"\nBENCH SPEEDUP GATE: {speedup:.2f}x < "
@@ -245,6 +247,13 @@ def main(argv: list[str] | None = None) -> int:
                   f">= MSV share {msv_share:.3f} - cross-sequence "
                   "batching should leave the narrow-survivor P7Viterbi "
                   "stage cheaper than the every-sequence MSV stage",
+                  file=sys.stderr)
+            failed = True
+        if fwd_share >= msv_share:
+            print(f"\nBENCH SHARE GATE: Forward share {fwd_share:.3f} "
+                  f">= MSV share {msv_share:.3f} - the scaled odds-space "
+                  "Forward over the ~0.1% survivors should cost less "
+                  "than the every-sequence MSV stage",
                   file=sys.stderr)
             failed = True
         if failed:

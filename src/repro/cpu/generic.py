@@ -2,7 +2,8 @@
 
 These are the float64, natural-log-space implementations of the Plan-7
 local search model - the unquantized ground truth the filters approximate,
-and the engine behind the pipeline's final Forward stage.  The recurrence
+and the log-space reference the pipeline's scaled odds-space Forward
+(:mod:`repro.cpu.forward_batch`) is tested against.  The recurrence
 uses the same node convention as the word profile: ``enter_*[j]`` is the
 cost of reaching node ``j`` from node ``j-1``.
 

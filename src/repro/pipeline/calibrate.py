@@ -3,8 +3,11 @@
 Like ``hmmbuild``'s calibration step, we score a sample of i.i.d.
 background sequences with each stage's engine and fit the known-lambda
 null distributions (:mod:`repro.pipeline.stats`).  The sample is scored
-with the *same* quantized engines the search uses, so quantization biases
-cancel out of the P-values.
+with the *same* quantized arithmetic the search uses, so quantization
+biases cancel out of the P-values.  The filters run through the
+cross-sequence batched kernels (:mod:`repro.kernels.batched`), which are
+bit-identical to the reference engines, so the fits do not depend on
+which engine a later search selects.
 """
 
 from __future__ import annotations
@@ -15,10 +18,9 @@ import numpy as np
 
 from ..cpu.forward_batch import forward_score_batch
 from ..cpu.generic import GenericProfile
-from ..cpu.msv_reference import msv_score_batch
-from ..cpu.viterbi_reference import viterbi_score_batch
 from ..errors import CalibrationError
 from ..hmm.profile import SearchProfile
+from ..kernels.batched import msv_batched_kernel, viterbi_batched_kernel
 from ..scoring.msv_profile import MSVByteProfile
 from ..scoring.vit_profile import ViterbiWordProfile
 from ..sequence.database import SequenceDatabase
@@ -70,8 +72,10 @@ def calibrate_profile(
 
     byte_prof = MSVByteProfile.from_profile(profile)
     word_prof = ViterbiWordProfile.from_profile(profile)
-    msv_bits = bits_from_nats(msv_score_batch(byte_prof, db).scores, null_len)
-    vit_bits = bits_from_nats(viterbi_score_batch(word_prof, db).scores, null_len)
+    msv_bits = bits_from_nats(msv_batched_kernel(byte_prof, db).scores, null_len)
+    vit_bits = bits_from_nats(
+        viterbi_batched_kernel(word_prof, db).scores, null_len
+    )
 
     gp = GenericProfile.from_profile(profile)
     fwd_db = SequenceDatabase(seqs[:n_forward], name="calibration-fwd")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cpu.forward_batch import forward_score_batch
+from ..cpu.forward_batch import FORWARD_KERNEL, forward_score_batch
 from ..cpu.generic import GenericProfile, generic_forward_score
 from ..cpu.msv_reference import msv_score_sequence
 from ..cpu.viterbi_reference import viterbi_score_sequence
@@ -299,7 +299,7 @@ class HmmsearchPipeline:
                     sub3 = database.subset(pass2.tolist())
                     with span(
                         tracer, "forward_batch", "kernel",
-                        stage="forward", engine="cpu_generic",
+                        stage="forward", engine=FORWARD_KERNEL,
                     ) as ks:
                         batch_nats = forward_score_batch(
                             self.generic_profile, sub3, guard=guard3

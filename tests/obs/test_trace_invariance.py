@@ -60,6 +60,10 @@ class TestPipelineInvariance:
         assert gpu_kernels and all(
             "device" in k.tags for k in gpu_kernels
         )
+        (fwd,) = [k for k in kernels if k.name == "forward_batch"]
+        assert fwd.tags["stage"] == "forward"
+        assert fwd.tags["engine"] == "cpu_scaled_odds"
+        assert fwd.counters["sequences"] == results.stages[2].n_in
         assert all(s.kind in SPAN_KINDS for s in tracer.walk())
 
     def test_all_spans_closed_with_monotonic_times(

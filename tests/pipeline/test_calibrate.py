@@ -3,9 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.cpu import generic_forward_score, msv_score_batch, viterbi_score_batch
 from repro.errors import CalibrationError
 from repro.hmm import SearchProfile, sample_hmm
-from repro.pipeline import calibrate_profile
+from repro.pipeline import HmmsearchPipeline, PipelineCalibration, calibrate_profile
+from repro.pipeline.stats import ScoreDistribution, bits_from_nats
+from repro.scoring import MSVByteProfile, ViterbiWordProfile
+from repro.sequence import (
+    DigitalSequence,
+    SequenceDatabase,
+    homolog_database,
+    random_sequence_codes,
+)
 
 
 @pytest.fixture(scope="module")
@@ -65,15 +74,6 @@ class TestCalibration:
     def test_false_positive_rate_matches_threshold(self, profile):
         """Fresh random sequences pass the MSV gate at ~ the F1 rate -
         the property Figure 1's 2.2% rests on."""
-        from repro.cpu import msv_score_batch
-        from repro.pipeline.stats import bits_from_nats
-        from repro.scoring import MSVByteProfile
-        from repro.sequence import (
-            DigitalSequence,
-            SequenceDatabase,
-            random_sequence_codes,
-        )
-
         cal = calibrate_profile(
             profile, np.random.default_rng(0), n_filter=300, n_forward=50
         )
@@ -90,3 +90,63 @@ class TestCalibration:
         )
         rate = float((np.asarray(cal.msv.pvalue(bits)) < 0.02).mean())
         assert 0.005 < rate < 0.05
+
+
+@pytest.fixture(scope="module")
+def reference_calibration(profile):
+    """The ``calibration`` fixture's fits, recomputed from the reference
+    engines on the same seeded sample: ``msv_score_batch`` /
+    ``viterbi_score_batch`` and per-sequence log-space Forward."""
+    rng = np.random.default_rng(0)
+    db = SequenceDatabase([
+        DigitalSequence(f"calib/{i:05d}", random_sequence_codes(profile.L, rng))
+        for i in range(200)
+    ])
+    null_len = profile.null_length_correction(profile.L)
+    msv = msv_score_batch(MSVByteProfile.from_profile(profile), db).scores
+    vit = viterbi_score_batch(ViterbiWordProfile.from_profile(profile), db).scores
+    fwd = [generic_forward_score(profile, seq.codes) for seq in list(db)[:50]]
+    return PipelineCalibration(
+        msv=ScoreDistribution.fit("gumbel", bits_from_nats(msv, null_len)),
+        vit=ScoreDistribution.fit("gumbel", bits_from_nats(vit, null_len)),
+        fwd=ScoreDistribution.fit("exponential", bits_from_nats(fwd, null_len)),
+        L=profile.L,
+        null_length_nats=null_len,
+        sample_size=200,
+    )
+
+
+class TestCalibrationMatchesReferenceEngines:
+    """Calibration scores its sample through the batched kernels and the
+    scaled odds-space Forward; the fits must not move."""
+
+    def test_filter_fits_are_identical(self, calibration, reference_calibration):
+        assert calibration.msv == reference_calibration.msv
+        assert calibration.vit == reference_calibration.vit
+
+    def test_forward_fit_matches_log_space(
+        self, calibration, reference_calibration
+    ):
+        assert calibration.fwd.kind == reference_calibration.fwd.kind
+        assert calibration.fwd.location == pytest.approx(
+            reference_calibration.fwd.location, rel=1e-9
+        )
+
+    def test_search_reports_same_hits(
+        self, profile, calibration, reference_calibration
+    ):
+        db = homolog_database(
+            60, 150.0, np.random.default_rng(21), hmm=profile.hmm,
+            homolog_fraction=0.2, name="pin",
+        )
+        runs = [
+            HmmsearchPipeline(
+                profile.hmm, L=profile.L, calibration=cal
+            ).search(db)
+            for cal in (calibration, reference_calibration)
+        ]
+        got, want = (run.hits for run in runs)
+        assert want
+        assert [h.name for h in got] == [h.name for h in want]
+        for g, w in zip(got, want):
+            assert g.evalue == pytest.approx(w.evalue, rel=1e-9)
