@@ -19,10 +19,11 @@ The supported import surface is the :mod:`repro.api` facade::
     results = repro.search(hmm, db, repro.SearchOptions(engine="gpu"))
     print(results.summary())
 
-Every pre-facade name (``HmmsearchPipeline``, ``sample_hmm``,
-``msv_warp_kernel``, ...) keeps importing from :mod:`repro` through a
-lazy compatibility layer, but new code should import such internals
-from their defining submodule.
+Internals are imported from their defining submodule.  The few that
+examples, benchmarks and tools need (``HmmsearchPipeline``,
+``sample_hmm``, ``msv_warp_kernel``, ...) also resolve lazily from
+:mod:`repro`, because the facade lint rule (R002) lets code outside the
+package import only top-level names.
 """
 
 from __future__ import annotations
@@ -70,16 +71,18 @@ __all__ = [
     "list_engines",
 ]
 
-# -- legacy compatibility (PEP 562) ------------------------------------------
-# Everything `from repro import X` resolved before the facade keeps
-# working: names resolve lazily to their defining submodule on first
-# attribute access.  __all__ above intentionally lists only the facade.
+# -- tooling surface (PEP 562) -----------------------------------------------
+# The names that code outside the package (examples, the benchmark
+# suites, tools) imports from `repro`.  The repro-lint facade rule (R002)
+# lets that code import only top-level `repro` names, so each resolves
+# lazily to its defining submodule on first attribute access.  Package
+# code and tests import from the defining submodule instead; __all__
+# above intentionally lists only the facade.
 
 _LEGACY = {
     # alphabet & sequences
     "AMINO": "repro.alphabet",
-    "AminoAlphabet": "repro.alphabet",
-    "pack_residues": "repro.alphabet",
+    "packed_stream_bytes": "repro.alphabet",
     "unpack_residues": "repro.alphabet",
     "DigitalSequence": "repro.sequence",
     "SequenceDatabase": "repro.sequence",
@@ -87,93 +90,51 @@ _LEGACY = {
     "write_fasta": "repro.sequence",
     "swissprot_like": "repro.sequence",
     "envnr_like": "repro.sequence",
+    "homolog_database": "repro.sequence",
+    "random_sequence_codes": "repro.sequence",
     # models & profiles
-    "Plan7HMM": "repro.hmm",
-    "NullModel": "repro.hmm",
     "SearchProfile": "repro.hmm",
     "build_hmm_from_msa": "repro.hmm",
     "sample_hmm": "repro.hmm",
     "save_hmm": "repro.hmm",
     "PAPER_MODEL_SIZES": "repro.hmm",
+    "pfam_band_fractions": "repro.hmm",
+    "sample_pfam_size": "repro.hmm",
     "MSVByteProfile": "repro.scoring",
     "ViterbiWordProfile": "repro.scoring",
-    # engines
-    "msv_score_sequence": "repro.cpu",
+    # CPU engines
     "msv_score_batch": "repro.cpu",
-    "viterbi_score_sequence": "repro.cpu",
     "viterbi_score_batch": "repro.cpu",
-    "generic_viterbi_score": "repro.cpu",
     "generic_forward_score": "repro.cpu",
-    "generic_backward_score": "repro.cpu",
+    "posterior_decode": "repro.cpu.posterior",
+    "domain_regions": "repro.cpu.posterior",
     # GPU substrate & kernels
-    "DeviceSpec": "repro.gpu",
     "KEPLER_K40": "repro.gpu",
     "FERMI_GTX580": "repro.gpu",
     "KernelCounters": "repro.gpu",
     "MemoryConfig": "repro.kernels",
     "Stage": "repro.kernels",
+    "SYNCS_PER_ROW": "repro.kernels",
     "msv_warp_kernel": "repro.kernels",
+    "msv_multiwarp_sync_kernel": "repro.kernels",
     "viterbi_warp_kernel": "repro.kernels",
     "stage_occupancy": "repro.kernels",
-    # pipeline
+    # pipeline & model-library scanning
     "HmmsearchPipeline": "repro.pipeline",
-    "Engine": "repro.pipeline",
     "PipelineThresholds": "repro.pipeline",
-    "ModelLibrary": "repro.pipeline",
-    "ScanHit": "repro.pipeline",
-    "ScanResults": "repro.pipeline",
-    "OracleReport": "repro.pipeline",
-    # model-library scanning
     "LibraryCatalog": "repro.scan",
-    "CatalogEntry": "repro.scan",
     "PressSettings": "repro.scan",
     "ScanService": "repro.scan",
-    "LibraryScanHit": "repro.scan",
-    "LibraryScanResults": "repro.scan",
-    "BucketPlan": "repro.scan",
-    "ModelBucket": "repro.scan",
-    "CoscheduleGroup": "repro.scan",
-    "build_bucket_plan": "repro.scan",
-    "coschedule_groups": "repro.scan",
-    "memconfig_crossover": "repro.scan",
-    "hmm_fingerprint": "repro.hmm.fingerprint",
-    "content_seed": "repro.hmm.fingerprint",
-    "Divergence": "repro.pipeline",
-    "GuardrailCounters": "repro.scoring",
-    "PosteriorDecoding": "repro.cpu.posterior",
-    "posterior_decode": "repro.cpu.posterior",
-    "domain_regions": "repro.cpu.posterior",
-    "viterbi_traceback": "repro.cpu.traceback",
-    "ViterbiAlignment": "repro.cpu.traceback",
-    "align_to_profile": "repro.cpu.hmmalign",
     # data-plane hardening
-    "IngestPolicy": "repro.hardening",
-    "PolicyMode": "repro.hardening",
     "STRICT": "repro.hardening",
     "SALVAGE": "repro.hardening",
     "RecordQuarantine": "repro.hardening",
-    "QuarantinedRecord": "repro.hardening",
-    # errors
-    "ReproError": "repro.errors",
-    "QuarantineError": "repro.errors",
-    "DivergenceError": "repro.errors",
-    "CatalogError": "repro.errors",
-    "UnknownEngineError": "repro.errors",
-    # -- tooling surface ------------------------------------------------
-    # Names sanctioned for code *outside* src/repro (examples, the
-    # benchmark suite, tools): the repro-lint facade rule (R002) allows
-    # external code to import only repro / repro.api top-level names, so
-    # everything the figure benchmarks and study scripts legitimately
-    # need is re-exported here instead of deep-imported.
-    "packed_stream_bytes": "repro.alphabet",
-    "pfam_band_fractions": "repro.hmm",
-    "sample_pfam_size": "repro.hmm",
-    "SYNCS_PER_ROW": "repro.kernels",
-    "msv_multiwarp_sync_kernel": "repro.kernels",
+    # observability
     "Tracer": "repro.obs",
     "compare_bench": "repro.obs",
     "load_bench": "repro.obs",
     "write_bench_json": "repro.obs",
+    # performance model
     "DEFAULT_COSTS": "repro.perf",
     "CostConstants": "repro.perf",
     "StageWork": "repro.perf",
@@ -196,45 +157,19 @@ _LEGACY = {
     "paper_database": "repro.perf",
     "experiment_workload": "repro.perf",
     "PAPER_RESIDUES": "repro.perf.workloads",
-    "homolog_database": "repro.sequence",
-    "random_sequence_codes": "repro.sequence",
+    # batch service, durability and overload protection
     "BatchSearchService": "repro.service",
     "DevicePool": "repro.service",
     "FaultPlan": "repro.service",
-    "FaultKind": "repro.service",
-    "FaultSpec": "repro.service",
     "PipelineCache": "repro.service",
     "PipelineSettings": "repro.service",
-    "RunJournal": "repro.service",
     "DurableRunJournal": "repro.service",
-    "WriteAheadJournal": "repro.service",
-    "ShardCheckpoint": "repro.service",
     "CrashPoint": "repro.service",
-    "WAL_SCHEMA": "repro.service",
     "result_digest": "repro.service",
-    "MetricsRegistry": "repro.service",
-    "JournalCorruptError": "repro.errors",
-    "FsckReport": "repro.scan",
-    "FsckProblem": "repro.scan",
-    "fsck_store": "repro.scan",
-    "RetryPolicy": "repro.service",
-    "Scheduler": "repro.service",
-    "JobQueue": "repro.service",
-    "submit_manifest": "repro.service",
-    # overload protection (admission control, deadlines, watchdog)
-    "AdmissionController": "repro.service",
     "AdmissionLimits": "repro.service",
-    "CostEstimate": "repro.service",
-    "DegradationState": "repro.service",
-    "estimate_job_cost": "repro.service",
-    "Deadline": "repro.service",
-    "ShardWatchdog": "repro.service",
     "VirtualClock": "repro.service",
+    "JournalCorruptError": "repro.errors",
     "OverloadError": "repro.errors",
-    "DeadlineExceeded": "repro.errors",
-    # correctness tooling
-    "SanitizerReport": "repro.analysis",
-    "WarpSanitizer": "repro.analysis",
 }
 
 
@@ -243,7 +178,7 @@ def __getattr__(name: str):
     if module is None:
         raise AttributeError(f"module 'repro' has no attribute {name!r}")
     value = getattr(import_module(module), name)
-    globals()[name] = value  # cache: resolve each legacy name once
+    globals()[name] = value  # cache: resolve each name once
     return value
 
 

@@ -1,12 +1,11 @@
 """The supported public API of :mod:`repro` in one small facade.
 
-Four years of stacked PRs grew ~60 public names; almost every consumer
+The package has ~60 public names; almost every consumer
 needs ten of them.  This module is that ten: load a model, load a
 database, run one search or a batch of them, press/load/scan a model
 library, and the types those calls exchange.  ``from repro import ...``
-re-exports exactly this facade; everything else remains importable from
-its defining submodule (and lazily via ``repro.<legacy name>`` for
-compatibility).
+re-exports exactly this facade; everything else is imported from its
+defining submodule.
 
 Quickstart::
 

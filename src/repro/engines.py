@@ -1,13 +1,12 @@
 """Pluggable engine registry: which implementation scores each stage.
 
-The closed two-member ``Engine`` enum (``cpu_sse``/``gpu_warp``) could
-not express CUDAMPF++-style per-model kernel-variant selection, nor
-admit new engines without touching every dispatch site.  This module
-replaces it with an open registry: an engine registers an
-:class:`EngineSpec` - ``(name, stages, scorer, capability probe,
-cost-model hook)`` plus dispatch traits - and every consumer (pipeline,
-scheduler, scan service, admission pricing, CLI, benchmarks) resolves
-engines by name through :func:`get` / :func:`resolve`.
+An open registry, so CUDAMPF++-style per-model kernel-variant
+selection and new engines need no change at any dispatch site: an
+engine registers an :class:`EngineSpec` - ``(name, stages, scorer,
+capability probe, cost-model hook)`` plus dispatch traits - and every
+consumer (pipeline, scheduler, scan service, admission pricing, CLI,
+benchmarks) resolves engines by name through :func:`get` /
+:func:`resolve`.
 
 Selection is *per stage*: :func:`resolve` accepts a bare name
 (``"gpu_warp_batched"``), a legacy alias (``"cpu"``/``"gpu"``), an
@@ -15,8 +14,8 @@ existing :class:`EngineSelection`, or a per-stage mapping such as
 ``{"msv": "gpu_warp_batched", "p7viterbi": "mp"}`` (the ``"*"`` key
 sets the default for unmapped stages).  Resolved selections are
 *interned*: resolving equal inputs returns the identical object, so
-legacy identity checks (``opts.engine is Engine.GPU_WARP``) keep
-working unchanged.
+selections compare by identity (``opts.engine is
+engines.resolve("gpu_warp")``).
 
 Built-in engines:
 
@@ -161,9 +160,8 @@ class EngineSelection:
     """A resolved engine choice: one default plus per-stage overrides.
 
     Instances are created only by :func:`resolve`, which interns them:
-    two equal selections are the *same* object, so identity comparisons
-    against the shim constants (``Engine.CPU_SSE``/``Engine.GPU_WARP``)
-    behave exactly like the old enum members.
+    two equal selections are the *same* object, so selections compare
+    by identity.
     """
 
     default: str

@@ -62,8 +62,7 @@ class PressSettings:
 
     Part of the store's identity: loading a store returns exactly the
     settings it was pressed with, so a catalog's calibrations are always
-    consistent with its pipelines.  Defaults match the historical
-    :class:`~repro.pipeline.hmmscan.ModelLibrary` construction.
+    consistent with its pipelines.
     """
 
     L: int = 350

@@ -38,7 +38,7 @@ from .. import engines
 from ..gpu.counters import KernelCounters
 from ..kernels.memconfig import Stage
 from ..obs.span import Tracer, span
-from ..options import Engine, PipelineThresholds, SearchOptions
+from ..options import PipelineThresholds, SearchOptions
 from ..pipeline.results import StageStats
 from ..sequence.database import SequenceDatabase
 from ..service.devices import DevicePool, DeviceSlot
@@ -453,7 +453,7 @@ class ScanService:
             if slot is None:
                 # pool exhausted (injected faults): the group still
                 # completes, scored by the engine-invariant CPU path
-                engine = Engine.CPU_SSE
+                engine = engines.resolve("cpu_sse")
                 fallback = 1
         group_opts = replace(
             sopts,

@@ -20,14 +20,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..errors import PipelineError
-from ..hmm.fingerprint import hmm_fingerprint
+from ..hmm import fingerprint
 from ..hmm.plan7 import Plan7HMM
 from ..pipeline.pipeline import HmmsearchPipeline, PipelineThresholds
 
-# hmm_fingerprint moved to repro.hmm.fingerprint (the scan catalog needs
-# it without importing the service plane); re-exported here for
-# compatibility with existing imports.
-__all__ = ["hmm_fingerprint", "PipelineSettings", "PipelineCache"]
+__all__ = ["PipelineSettings", "PipelineCache"]
 
 
 @dataclass(frozen=True)
@@ -84,7 +81,7 @@ class PipelineCache:
             else (thresholds.f1, thresholds.f2, thresholds.f3,
                   thresholds.report_evalue)
         )
-        return (hmm_fingerprint(hmm), settings, th)
+        return (fingerprint.hmm_fingerprint(hmm), settings, th)
 
     def get(
         self,
@@ -118,7 +115,7 @@ class PipelineCache:
             return len(self._entries)
 
     def __contains__(self, hmm: Plan7HMM) -> bool:
-        fp = hmm_fingerprint(hmm)
+        fp = fingerprint.hmm_fingerprint(hmm)
         with self._lock:
             return any(key[0] == fp for key in self._entries)
 

@@ -1,9 +1,8 @@
 """Write-ahead journal v2: crash-consistent durable execution state.
 
-:class:`~repro.service.resilience.RunJournal` (v1) checkpoints whole
-completed jobs to checksum-free JSONL - a crash loses every in-flight
-shard, and nothing detects a journal corrupted after the fact.  This
-module replaces it with a real WAL (``repro-wal-v2``):
+The service's checkpoint journal is a real write-ahead log
+(``repro-wal-v2``), so a crash loses no completed shard and a journal
+corrupted after the fact is detected:
 
 * **Length-prefixed, CRC-checksummed records.**  The file is a magic
   header followed by frames of ``(payload length, CRC32, JSON payload)``;
@@ -327,7 +326,7 @@ class DurableRunJournal(WriteAheadJournal):
                     self.duplicate_units += 1
                 self._groups[key] = record
 
-    # -- job entries (RunJournal-compatible surface) -------------------------
+    # -- job entries ---------------------------------------------------------
 
     def completed(self, job_id: str) -> dict | None:
         """The journal entry for a finished job, or None."""

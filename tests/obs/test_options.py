@@ -1,4 +1,4 @@
-"""SearchOptions: defaults, coercion, docs, and the deprecation shim."""
+"""SearchOptions: defaults, coercion, docs, and the one way to pass them."""
 
 from __future__ import annotations
 
@@ -7,22 +7,20 @@ import warnings
 
 import pytest
 
+from repro import engines
 from repro.errors import PipelineError
 from repro.hardening import SALVAGE, STRICT
 from repro.kernels.memconfig import MemoryConfig
-from repro.options import (
-    UNSET,
-    Engine,
-    SearchOptions,
-    field_doc,
-    resolve_search_options,
-)
+from repro.options import SearchOptions, field_doc
+
+CPU_SSE = engines.resolve("cpu_sse")
+GPU_WARP = engines.resolve("gpu_warp")
 
 
 class TestSearchOptions:
     def test_defaults(self):
         o = SearchOptions()
-        assert o.engine is Engine.CPU_SSE
+        assert o.engine is CPU_SSE
         assert o.config is MemoryConfig.SHARED
         assert o.thresholds is None
         assert o.selfcheck == 0
@@ -37,9 +35,9 @@ class TestSearchOptions:
             o.selfcheck = 3
 
     def test_engine_string_coercion(self):
-        assert SearchOptions(engine="gpu").engine is Engine.GPU_WARP
-        assert SearchOptions(engine="cpu").engine is Engine.CPU_SSE
-        assert SearchOptions(engine="gpu_warp").engine is Engine.GPU_WARP
+        assert SearchOptions(engine="gpu").engine is GPU_WARP
+        assert SearchOptions(engine="cpu").engine is CPU_SSE
+        assert SearchOptions(engine="gpu_warp").engine is GPU_WARP
 
     def test_bad_engine_raises(self):
         with pytest.raises(PipelineError):
@@ -49,11 +47,11 @@ class TestSearchOptions:
         with pytest.raises(PipelineError):
             SearchOptions(selfcheck=-1)
 
-    def test_with_returns_modified_copy(self):
+    def test_replace_returns_coerced_copy(self):
         o = SearchOptions()
-        o2 = o.with_(engine="gpu", selfcheck=2)
-        assert o2.engine is Engine.GPU_WARP and o2.selfcheck == 2
-        assert o.engine is Engine.CPU_SSE  # original untouched
+        o2 = dataclasses.replace(o, engine="gpu", selfcheck=2)
+        assert o2.engine is GPU_WARP and o2.selfcheck == 2
+        assert o.engine is CPU_SSE  # original untouched
 
     def test_every_field_has_doc(self):
         for name in SearchOptions.__dataclass_fields__:
@@ -66,51 +64,42 @@ class TestSearchOptions:
 
 
 class TestDeprecationShim:
-    def test_no_legacy_kwargs_no_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = resolve_search_options(None, "X", engine=UNSET)
-        assert out == SearchOptions()
+    """SearchOptions is the one way to configure a search."""
 
-    def test_legacy_kwargs_warn_and_override(self):
-        base = SearchOptions(selfcheck=1)
-        with pytest.warns(DeprecationWarning, match="engine.*X"):
-            out = resolve_search_options(base, "X", engine="gpu",
-                                         policy=UNSET)
-        assert out.engine is Engine.GPU_WARP
-        assert out.selfcheck == 1  # non-overridden fields kept
-
-    def test_warning_names_every_argument(self):
-        with pytest.warns(DeprecationWarning, match="policy, selfcheck"):
-            resolve_search_options(
-                None, "Y", selfcheck=3, policy=SALVAGE
-            )
-
-    def test_passthrough_keeps_identity(self):
-        base = SearchOptions()
-        assert resolve_search_options(base, "X") is base
-
-
-class TestPipelineShim:
-    def test_search_engine_kwarg_warns(self, small_hmm, small_database):
+    def test_no_legacy_kwargs_no_warning(self, small_hmm, small_database):
         from repro.pipeline.pipeline import HmmsearchPipeline
 
         pipe = HmmsearchPipeline(small_hmm)
-        with pytest.warns(DeprecationWarning, match="engine"):
-            legacy = pipe.search(small_database, engine=Engine.CPU_SSE)
-        modern = pipe.search(
-            small_database, SearchOptions(engine=Engine.CPU_SSE)
-        )
-        assert [h.name for h in legacy.hits] == [h.name for h in modern.hits]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pipe.search(small_database, SearchOptions(engine=CPU_SSE))
 
-    def test_service_selfcheck_kwarg_warns(self):
+    def test_passthrough_keeps_identity(self):
         from repro.service import BatchSearchService
 
-        with pytest.warns(DeprecationWarning, match="BatchSearchService"):
-            service = BatchSearchService(selfcheck=2)
-        assert service.options.selfcheck == 2
-        assert service.scheduler.selfcheck == 2
+        base = SearchOptions(selfcheck=1)
+        service = BatchSearchService(options=base)
+        assert service.options is base
+        assert service.scheduler.options is base
 
+    def test_search_rejects_engine_kwarg(self, small_hmm, small_database):
+        from repro.pipeline.pipeline import HmmsearchPipeline
+
+        pipe = HmmsearchPipeline(small_hmm)
+        with pytest.raises(TypeError):
+            pipe.search(small_database, engine="cpu_sse")
+
+    @pytest.mark.parametrize("kwarg", ["config", "selfcheck", "policy"])
+    def test_service_rejects_option_kwargs(self, kwarg):
+        from repro.service import BatchSearchService, Scheduler
+
+        with pytest.raises(TypeError):
+            BatchSearchService(**{kwarg: None})
+        with pytest.raises(TypeError):
+            Scheduler(**{kwarg: None})
+
+
+class TestPipelineShim:
     def test_service_options_object_is_silent(self):
         from repro.service import BatchSearchService
 
@@ -120,4 +109,4 @@ class TestPipelineShim:
                 options=SearchOptions(selfcheck=2, policy=SALVAGE)
             )
         assert service.options.selfcheck == 2
-        assert service.policy is SALVAGE
+        assert service.scheduler.options.policy is SALVAGE

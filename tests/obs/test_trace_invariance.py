@@ -11,8 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import engines
 from repro.obs.span import SPAN_KINDS, Tracer
-from repro.options import Engine, SearchOptions
+from repro.options import SearchOptions
 from repro.pipeline.pipeline import HmmsearchPipeline
 
 
@@ -31,7 +32,9 @@ def assert_identical_results(a, b):
 
 
 class TestPipelineInvariance:
-    @pytest.mark.parametrize("engine", [Engine.CPU_SSE, Engine.GPU_WARP])
+    @pytest.mark.parametrize(
+        "engine", [engines.resolve("cpu_sse"), engines.resolve("gpu_warp")]
+    )
     def test_tracing_is_bit_identical(self, small_hmm, small_database, engine):
         pipe = HmmsearchPipeline(small_hmm)
         plain = pipe.search(small_database, SearchOptions(engine=engine))
@@ -45,7 +48,7 @@ class TestPipelineInvariance:
         pipe = HmmsearchPipeline(small_hmm)
         results = pipe.search(
             small_database,
-            SearchOptions(engine=Engine.GPU_WARP, tracer=tracer),
+            SearchOptions(engine="gpu_warp", tracer=tracer),
         )
         (root,) = tracer.roots
         assert root.kind == "search"
@@ -86,7 +89,7 @@ class TestServiceInvariance:
 
         service = BatchSearchService(options=SearchOptions(tracer=tracer))
         service.submit(hmm, db)                          # GPU pool job
-        service.submit(hmm, db, engine=Engine.CPU_SSE)   # CPU job
+        service.submit(hmm, db, engine="cpu_sse")       # CPU job
         return service, service.run()
 
     def test_service_tracing_is_bit_identical(self, small_hmm, small_database):

@@ -122,11 +122,12 @@ class TestForwardNonfiniteAccounting:
 
 class TestPipelineStageGuards:
     def test_stage_stats_carry_guards(self, medium_hmm, medium_database):
-        from repro.pipeline.pipeline import Engine, HmmsearchPipeline
+        from repro.options import SearchOptions
+        from repro.pipeline.pipeline import HmmsearchPipeline
 
         pipe = HmmsearchPipeline(medium_hmm, L=220)
-        res_cpu = pipe.search(medium_database, engine=Engine.CPU_SSE)
-        res_gpu = pipe.search(medium_database, engine=Engine.GPU_WARP)
+        res_cpu = pipe.search(medium_database, SearchOptions(engine="cpu_sse"))
+        res_gpu = pipe.search(medium_database, SearchOptions(engine="gpu_warp"))
         for res in (res_cpu, res_gpu):
             guards = {s.name: s.guard for s in res.stages}
             assert guards["msv"] is not None
@@ -137,11 +138,11 @@ class TestPipelineStageGuards:
                 assert cs.guard == gs.guard
 
     def test_overflows_count_overflowed_lanes(self, medium_hmm, medium_database):
-        from repro.pipeline.pipeline import Engine, HmmsearchPipeline
+        from repro.pipeline.pipeline import HmmsearchPipeline
         from repro.scoring.msv_profile import MSVByteProfile
 
         pipe = HmmsearchPipeline(medium_hmm, L=220)
-        res = pipe.search(medium_database, engine=Engine.CPU_SSE)
+        res = pipe.search(medium_database)  # cpu_sse
         prof = pipe.profile
         raw = msv_score_batch(MSVByteProfile.from_profile(prof), medium_database)
         msv_guard = {s.name: s.guard for s in res.stages}["msv"]

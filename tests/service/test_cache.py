@@ -7,7 +7,8 @@ from repro import sample_hmm
 from repro.errors import PipelineError
 from repro.hmm import dumps_hmm, loads_hmm
 from repro.pipeline import PipelineThresholds
-from repro.service import PipelineCache, PipelineSettings, hmm_fingerprint
+from repro.hmm.fingerprint import hmm_fingerprint
+from repro.service import PipelineCache, PipelineSettings
 
 FAST = PipelineSettings(
     L=60, calibration_filter_sample=60, calibration_forward_sample=25

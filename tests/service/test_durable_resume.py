@@ -171,6 +171,34 @@ class TestStaleFingerprint:
         with pytest.raises(JournalCorruptError, match="wal-job"):
             run_once(path, self._other_workload(), cache, policy=STRICT)
 
+    def _unfingerprinted(self, path):
+        """A journal whose done entry for the job carries no fingerprint."""
+        journal = DurableRunJournal(path, fsync=False)
+        journal.append(
+            "job", job_id="wal-job", state="done", digest="0" * 64,
+            n_targets=1, n_hits=0,
+        )
+        journal.close()
+
+    def test_strict_rejects_entry_without_fingerprint(
+        self, tmp_path, workload, cache
+    ):
+        path = tmp_path / "run.wal"
+        self._unfingerprinted(path)
+        with pytest.raises(JournalCorruptError, match="wal-job"):
+            run_once(path, workload, cache, policy=STRICT)
+
+    def test_salvage_recomputes_entry_without_fingerprint(
+        self, tmp_path, workload, cache, reference_digest
+    ):
+        path = tmp_path / "run.wal"
+        self._unfingerprinted(path)
+        service, journal = run_once(path, workload, cache, policy=SALVAGE)
+        (record,) = service.metrics.records
+        assert record.resumed is False
+        assert service.metrics.resilience.stale_checkpoints == 1
+        assert journal.completed("wal-job")["digest"] == reference_digest
+
     def test_salvage_discards_and_recomputes(self, tmp_path, workload,
                                              cache):
         path = tmp_path / "run.wal"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import Engine, sample_hmm
+from repro import engines, sample_hmm
 from repro.errors import PipelineError
 from repro.sequence import (
     DigitalSequence,
@@ -11,6 +11,9 @@ from repro.sequence import (
     random_sequence_codes,
 )
 from repro.service import JobQueue, JobState
+
+CPU_SSE = engines.resolve("cpu_sse")
+GPU_WARP = engines.resolve("gpu_warp")
 
 
 @pytest.fixture(scope="module")
@@ -73,8 +76,8 @@ class TestJobIds:
 
     def test_id_depends_on_engine(self, hmm, db):
         q = JobQueue()
-        gpu = q.submit(hmm, db, engine=Engine.GPU_WARP)
-        cpu = q.submit(hmm, db, engine=Engine.CPU_SSE)
+        gpu = q.submit(hmm, db, engine=GPU_WARP)
+        cpu = q.submit(hmm, db, engine=CPU_SSE)
         assert gpu.job_id.split("-")[2] != cpu.job_id.split("-")[2]
 
     def test_id_depends_on_model(self, hmm, db):
@@ -93,10 +96,10 @@ class TestLifecycle:
         assert job.attempts == 0
 
     def test_effective_engine_tracks_fallback(self, hmm, db):
-        job = JobQueue().submit(hmm, db, engine=Engine.GPU_WARP)
-        assert job.effective_engine is Engine.GPU_WARP
-        job.fallback_engine = Engine.CPU_SSE
-        assert job.effective_engine is Engine.CPU_SSE
+        job = JobQueue().submit(hmm, db, engine=GPU_WARP)
+        assert job.effective_engine is GPU_WARP
+        job.fallback_engine = CPU_SSE
+        assert job.effective_engine is CPU_SSE
 
     def test_requeue_rejects_finished_jobs(self, hmm, db):
         q = JobQueue()

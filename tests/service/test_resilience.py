@@ -1,12 +1,10 @@
 """Resilient dispatch: deterministic faults, the degradation ladder,
-device quarantine, and batch checkpoint/resume.
+device quarantine, and job-level checkpoint/resume.
 
 The invariant every test here pins: injected faults may change retry
 counts, device health and the event log - they never change the
 reported hits.
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -17,6 +15,7 @@ from repro.errors import LaunchError, PipelineError, ShardIntegrityError
 from repro.gpu import KEPLER_K40
 from repro.gpu.counters import KernelCounters
 from repro.gpu.multi_gpu import score_chunk
+from repro.hardening import SALVAGE
 from repro.hmm import SearchProfile
 from repro.kernels import msv_warp_kernel
 from repro.kernels.memconfig import MemoryConfig
@@ -29,6 +28,7 @@ from repro.sequence import (
 from repro.service import (
     BatchSearchService,
     DeviceHealth,
+    DurableRunJournal,
     DevicePool,
     FaultKind,
     FaultPlan,
@@ -37,7 +37,6 @@ from repro.service import (
     PipelineSettings,
     ResilientExecutor,
     RetryPolicy,
-    RunJournal,
     Scheduler,
     result_digest,
 )
@@ -366,6 +365,8 @@ class TestChaosEquivalence:
 
 
 class TestRunJournal:
+    """Job-level checkpoint/resume through the durable run journal."""
+
     def _submit_all(self, service, workload):
         hmm, db = workload
         return [
@@ -376,25 +377,27 @@ class TestRunJournal:
     def test_interrupted_batch_resumes_without_recomputing(
         self, tmp_path, workload
     ):
-        path = tmp_path / "run.jsonl"
+        path = tmp_path / "run.wal"
         first = BatchSearchService(
             pool=DevicePool.homogeneous(count=2),
             fault_plan=FaultPlan([]),
-            journal=RunJournal(path, resume=False),
+            journal=DurableRunJournal(path, resume=False, fsync=False),
         )
         self._submit_all(first, workload)
         # "crash" after two of three jobs
         first.scheduler.execute(first.queue.pop())
         first.scheduler.execute(first.queue.pop())
         assert len(first.journal) == 2
+        first.journal.close()
 
         second = BatchSearchService(
             pool=DevicePool.homogeneous(count=2),
             fault_plan=FaultPlan([]),
-            journal=RunJournal(path, resume=True),
+            journal=DurableRunJournal(path, fsync=False),
         )
         jobs = self._submit_all(second, workload)
         second.run()
+        second.journal.close()
         assert all(j.state is JobState.DONE for j in jobs)
         assert [j.resumed for j in jobs] == [True, True, False]
         assert second.metrics.resumed_jobs == 2
@@ -412,39 +415,46 @@ class TestRunJournal:
         assert len(second.journal) == 3
 
     def test_journal_digest_matches_results(self, tmp_path, workload):
-        path = tmp_path / "run.jsonl"
         service = BatchSearchService(
             pool=DevicePool.homogeneous(count=2),
             fault_plan=FaultPlan([]),
-            journal=RunJournal(path, resume=False),
+            journal=DurableRunJournal(tmp_path / "run.wal", fsync=False),
         )
         hmm, db = workload
         job = service.submit(hmm, db, settings=SETTINGS)
         service.run()
+        service.journal.close()
         entry = service.journal.completed(job.job_id)
         assert entry["digest"] == result_digest(job.results)
         assert entry["n_targets"] == job.results.n_targets
 
     def test_truncated_trailing_line_is_tolerated(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        good = {"job_id": "a", "state": "done", "digest": "d"}
-        path.write_text(json.dumps(good) + "\n" + '{"job_id": "b", "sta')
-        journal = RunJournal(path, resume=True)
+        path = tmp_path / "run.wal"
+        journal = DurableRunJournal(path, fsync=False)
+        journal.append("job", job_id="a", state="done", digest="d")
+        journal.append("job", job_id="b", state="done", digest="e")
+        journal.close()
+        path.write_bytes(path.read_bytes()[:-5])  # torn final record
+        journal = DurableRunJournal(path, policy=SALVAGE, fsync=False)
+        journal.close()
         assert len(journal) == 1
         assert journal.completed("a") is not None
         assert journal.completed("b") is None
 
     def test_failed_entries_are_not_resumable(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        path.write_text(
-            json.dumps({"job_id": "a", "state": "failed"}) + "\n"
-        )
-        assert RunJournal(path, resume=True).completed("a") is None
+        path = tmp_path / "run.wal"
+        journal = DurableRunJournal(path, fsync=False)
+        journal.append("job", job_id="a", state="failed")
+        journal.close()
+        reopened = DurableRunJournal(path, fsync=False)
+        reopened.close()
+        assert reopened.completed("a") is None
 
     def test_resume_false_truncates(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        path.write_text(
-            json.dumps({"job_id": "a", "state": "done"}) + "\n"
-        )
-        journal = RunJournal(path, resume=False)
-        assert len(journal) == 0 and not path.exists()
+        path = tmp_path / "run.wal"
+        journal = DurableRunJournal(path, fsync=False)
+        journal.append("job", job_id="a", state="done")
+        journal.close()
+        fresh = DurableRunJournal(path, resume=False, fsync=False)
+        fresh.close()
+        assert len(fresh) == 0 and fresh.completed("a") is None

@@ -9,7 +9,8 @@ directly, on both engines.  Accuracy is never traded for scheduling.
 import numpy as np
 import pytest
 
-from repro import Engine, FERMI_GTX580, KEPLER_K40, sample_hmm
+from repro import FERMI_GTX580, KEPLER_K40, engines, sample_hmm
+from repro.options import SearchOptions
 from repro.service import (
     BatchSearchService,
     DevicePool,
@@ -21,6 +22,9 @@ from repro.sequence import (
     SequenceDatabase,
     random_sequence_codes,
 )
+
+CPU_SSE = engines.resolve("cpu_sse")
+GPU_WARP = engines.resolve("gpu_warp")
 
 SETTINGS = PipelineSettings(
     L=100, calibration_filter_sample=80, calibration_forward_sample=25
@@ -46,8 +50,8 @@ def direct(workload):
     hmm, db = workload
     pipe = SETTINGS.build(hmm)
     return {
-        Engine.CPU_SSE: pipe.search(db, engine=Engine.CPU_SSE),
-        Engine.GPU_WARP: pipe.search(db, engine=Engine.GPU_WARP),
+        CPU_SSE: pipe.search(db, SearchOptions(engine=CPU_SSE)),
+        GPU_WARP: pipe.search(db, SearchOptions(engine=GPU_WARP)),
     }
 
 
@@ -62,7 +66,7 @@ POOLS = [
 
 class TestEquivalence:
     @pytest.mark.parametrize("make_pool", POOLS)
-    @pytest.mark.parametrize("engine", [Engine.CPU_SSE, Engine.GPU_WARP])
+    @pytest.mark.parametrize("engine", [CPU_SSE, GPU_WARP])
     def test_service_matches_direct_search(
         self, workload, direct, make_pool, engine
     ):
@@ -88,9 +92,9 @@ class TestEquivalence:
     def test_engines_agree_through_the_service(self, workload):
         hmm, db = workload
         service = BatchSearchService(pool=DevicePool.heterogeneous(1, 2))
-        gpu = service.submit(hmm, db, engine=Engine.GPU_WARP,
+        gpu = service.submit(hmm, db, engine=GPU_WARP,
                              settings=SETTINGS)
-        cpu = service.submit(hmm, db, engine=Engine.CPU_SSE,
+        cpu = service.submit(hmm, db, engine=CPU_SSE,
                              settings=SETTINGS)
         service.run()
         assert gpu.results.hit_names() == cpu.results.hit_names()

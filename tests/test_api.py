@@ -1,13 +1,14 @@
-"""Public API surface: the repro.api facade, the lazy legacy layer,
-and the README snippets."""
+"""Public API surface: the repro.api facade, the lazily resolved
+tooling names, and the README snippets."""
 
-import warnings
+from importlib import import_module
 
 import numpy as np
 import pytest
 
 import repro
 import repro.api
+from repro import engines
 
 
 FACADE = [
@@ -42,36 +43,69 @@ def test_facade_names_are_the_api_objects():
         assert getattr(repro, name) is getattr(repro.api, name)
 
 
-LEGACY_NAMES = [
-    # one representative per historical export group
-    "AMINO", "pack_residues", "DigitalSequence", "SequenceDatabase",
-    "read_fasta", "write_fasta", "swissprot_like", "envnr_like",
-    "Plan7HMM", "NullModel", "SearchProfile", "build_hmm_from_msa",
-    "sample_hmm", "save_hmm", "PAPER_MODEL_SIZES", "MSVByteProfile",
-    "ViterbiWordProfile", "msv_score_batch", "viterbi_score_batch",
-    "generic_forward_score", "DeviceSpec", "KEPLER_K40", "FERMI_GTX580",
-    "KernelCounters", "MemoryConfig", "Stage", "msv_warp_kernel",
-    "viterbi_warp_kernel", "stage_occupancy", "HmmsearchPipeline",
-    "Engine", "PipelineThresholds", "ModelLibrary", "OracleReport",
-    "Divergence", "GuardrailCounters", "posterior_decode",
-    "viterbi_traceback", "align_to_profile", "IngestPolicy", "STRICT",
-    "SALVAGE", "RecordQuarantine", "ReproError", "DivergenceError",
-    "QuarantineError",
+#: Names that once resolved lazily from ``repro`` and no longer do:
+#: they are deleted, or imported only from their defining submodule.
+DELETED_NAMES = [
+    "Engine", "RunJournal", "ModelLibrary", "ScanHit", "ScanResults",
+    "hmm_fingerprint", "content_seed", "AminoAlphabet", "pack_residues",
+    "Plan7HMM", "NullModel", "msv_score_sequence", "viterbi_score_sequence",
+    "generic_viterbi_score", "generic_backward_score", "DeviceSpec",
+    "OracleReport", "Divergence", "GuardrailCounters", "PosteriorDecoding",
+    "viterbi_traceback", "ViterbiAlignment", "align_to_profile",
+    "CatalogEntry", "LibraryScanHit", "LibraryScanResults", "BucketPlan",
+    "ModelBucket", "CoscheduleGroup", "build_bucket_plan",
+    "coschedule_groups", "memconfig_crossover", "IngestPolicy",
+    "PolicyMode", "QuarantinedRecord", "ReproError", "QuarantineError",
+    "DivergenceError", "CatalogError", "UnknownEngineError", "FaultKind",
+    "FaultSpec", "WriteAheadJournal", "ShardCheckpoint", "WAL_SCHEMA",
+    "MetricsRegistry", "FsckReport", "FsckProblem", "fsck_store",
+    "RetryPolicy", "Scheduler", "JobQueue", "submit_manifest",
+    "AdmissionController", "CostEstimate", "DegradationState",
+    "estimate_job_cost", "Deadline", "ShardWatchdog", "DeadlineExceeded",
+    "SanitizerReport", "WarpSanitizer",
 ]
 
 
 def test_legacy_names_still_resolve():
-    for name in LEGACY_NAMES:
+    for name in repro._LEGACY:
         assert getattr(repro, name) is not None, name
         assert name in dir(repro)
 
 
 def test_legacy_names_are_the_defining_objects():
-    from repro.pipeline.pipeline import HmmsearchPipeline
-    from repro.options import Engine
+    for name, module in repro._LEGACY.items():
+        assert getattr(repro, name) is getattr(import_module(module), name)
 
-    assert repro.HmmsearchPipeline is HmmsearchPipeline
-    assert repro.Engine is Engine
+
+@pytest.mark.parametrize("name", DELETED_NAMES)
+def test_deleted_names_raise(name):
+    assert name not in repro._LEGACY
+    with pytest.raises(AttributeError, match=name):
+        getattr(repro, name)
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("repro.options", "Engine"),
+        ("repro.options", "UNSET"),
+        ("repro.options", "resolve_search_options"),
+        ("repro.service", "RunJournal"),
+        ("repro.service.resilience", "RunJournal"),
+        ("repro.service.cache", "hmm_fingerprint"),
+        ("repro.service.job", "_job_fingerprint"),
+        ("repro.pipeline", "ModelLibrary"),
+        ("repro.pipeline", "Engine"),
+    ],
+)
+def test_compatibility_layer_is_gone(module, name):
+    assert not hasattr(import_module(module), name)
+
+
+def test_removed_modules_and_methods():
+    with pytest.raises(ModuleNotFoundError):
+        import_module("repro.pipeline.hmmscan")
+    assert not hasattr(repro.SearchOptions, "with_")
 
 
 def test_unknown_attribute_raises():
@@ -120,8 +154,8 @@ def test_facade_batch_search():
         options=opts,
     )
     assert [j.state.value for j in jobs] == ["done", "done"]
-    assert jobs[0].engine is repro.Engine.GPU_WARP
-    assert jobs[1].engine is repro.Engine.CPU_SSE
+    assert jobs[0].engine is engines.resolve("gpu_warp")
+    assert jobs[1].engine is engines.resolve("cpu_sse")
     assert jobs[0].results.hit_names() == jobs[1].results.hit_names()
     assert "batch search service report" in report
 
@@ -145,17 +179,15 @@ def test_readme_gpu_snippet():
     pipeline = repro.HmmsearchPipeline(
         hmm, calibration_filter_sample=80, calibration_forward_sample=25
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        cpu = pipeline.search(db)
-        gpu = pipeline.search(
-            db,
-            repro.SearchOptions(
-                engine=repro.Engine.GPU_WARP,
-                device=repro.KEPLER_K40,
-                config=repro.MemoryConfig.SHARED,
-            ),
-        )
+    cpu = pipeline.search(db)
+    gpu = pipeline.search(
+        db,
+        repro.SearchOptions(
+            engine="gpu_warp",
+            device=repro.KEPLER_K40,
+            config=repro.MemoryConfig.SHARED,
+        ),
+    )
     assert gpu.hit_names() == cpu.hit_names()
     assert gpu.counters["msv"].syncthreads == 0
 
@@ -170,6 +202,7 @@ def test_error_hierarchy():
         ModelError,
         PipelineError,
         ProfileError,
+        ReproError,
         SequenceError,
     )
 
@@ -184,7 +217,7 @@ def test_error_hierarchy():
         PipelineError,
         CalibrationError,
     ):
-        assert issubclass(exc, repro.ReproError)
+        assert issubclass(exc, ReproError)
         assert issubclass(exc, Exception)
 
 
