@@ -17,8 +17,10 @@ of ``logaddexp`` chains.
 * **Lane packing.**  Lanes are sorted by length, longest first (like
   :mod:`repro.kernels.batched`), so the lanes still live at row ``i``
   form a prefix and every row computes on that prefix only - no padded
-  cells, no masks.  Lane groups are capped at ``_GROUP_CELLS`` cells per
-  state row to bound memory on large databases.
+  cells, no masks.  Lane groups are the batched kernels' host sweeps
+  (:func:`repro.kernels.batched._lane_groups`), capped at
+  ``_GROUP_CELLS`` cells per state row to bound memory on large
+  databases.
 * **Segmented linear Delete chain.**  ``D[j] = inj[j] + D[j-1] t[j-1]``
   is ``D = P * cumsum(inj / P)`` with ``P`` the running product of the
   D->D odds.  The scan restarts where that product would fall below
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..hmm.profile import SearchProfile
-from ..kernels.batched import _live_prefix_counts
+from ..kernels.batched import _lane_groups, _live_prefix_counts
 from ..scoring.guardrails import GuardrailCounters
 from ..sequence.database import PaddedBatch, SequenceDatabase
 from .generic import GenericProfile
@@ -51,9 +53,6 @@ FORWARD_KERNEL = "cpu_scaled_odds"
 #: A Delete-chain segment restarts before its D->D product drops below
 #: ~1e-150, so dividing by the product stays far from overflow.
 _CHAIN_FLOOR = float(np.log(1e-150))
-#: Lanes per group are capped so one state row array holds at most this
-#: many cells (2 MiB of float64).
-_GROUP_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -124,12 +123,8 @@ def forward_score_batch(
         batch = batch.padded_batch()
     n, M = batch.n_seqs, gp.M
     nats = np.full(n, float("-inf"))
-    order = np.argsort(-batch.lengths, kind="stable")
-    n_live = int(np.count_nonzero(batch.lengths > 0))
-    group = max(1, _GROUP_CELLS // (M + 1))
     odds = _OddsProfile.from_generic(gp)
-    for start in range(0, n_live, group):
-        idx = order[start:start + group]
+    for idx in _lane_groups(batch.lengths, M):
         log_c = odds.score_group(batch.codes[idx], batch.lengths[idx])
         nats[idx] = log_c + gp.C_move
     if guard is not None:

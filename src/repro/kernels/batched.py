@@ -11,8 +11,25 @@ because the NumPy vector units idle across the warp dimension.
 These kernels batch *across sequences* instead (AnySeq/GPU-style
 cross-alignment batching): each warp lane owns one whole sequence, all
 lanes advance one residue per lockstep row, and one vectorized NumPy
-invocation scores an entire length bucket.  The row loop now runs
-``max_len`` times per bucket, not ``total_residues`` times.
+invocation per row scores every lane still live.
+
+Two schedules are kept apart:
+
+* **The host sweep** (what the host wall clock measures).  All lanes of
+  a launch run in one length-sorted lockstep sweep, cut only into
+  groups of at most ``_GROUP_CELLS // (M + 1)`` lanes to bound memory.
+  The row loop runs ``max_len`` times per sweep, not once per bucket
+  and not ``total_residues`` times: the widest tile the host can take,
+  because NumPy's cost is per call, and live-prefix slicing already
+  skips every padded cell.
+* **The modelled launch** (what :class:`KernelCounters`, the kernel
+  spans and their padding fraction report).  The GPU launch is the
+  length buckets of :func:`pack_length_buckets` over 32-lane warps;
+  after the sweep, rows, strips, cells, shared and global traffic and
+  padding are charged per bucket from each lane's charged row count,
+  exactly as if each bucket had run on its own.  The modelled device
+  clock (:mod:`repro.perf.cost_model`) prices the stage's rows and
+  sequences, so it does not move with the host schedule either.
 
 Architecture-aware structure, observable through the counters:
 
@@ -36,7 +53,8 @@ Architecture-aware structure, observable through the counters:
 * **Conflict-free lane-major layout.**  Lane ``l``'s DP row lives at
   stride :func:`~repro.gpu.warp.conflict_free_lane_stride`, so a
   warp-wide access to cell ``j`` across lanes touches 32 distinct
-  banks; the WarpSanitizer certifies this on every sanitized row.
+  banks; the WarpSanitizer certifies one representative warp-wide
+  access per sweep row.
 
 Scores are bit-identical to :mod:`repro.cpu.msv_reference` and
 :mod:`repro.cpu.viterbi_reference` - the paper's accuracy-preservation
@@ -73,11 +91,16 @@ __all__ = [
 
 #: Default padding-waste bound for length bucketing.
 DEFAULT_MAX_WASTE = 0.25
+#: Lanes per host sweep are capped so one state row array holds at most
+#: this many cells (2 MiB of float64 in the Forward kernel); shared with
+#: :mod:`repro.cpu.forward_batch`.
+_GROUP_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
 class LaneBucket:
-    """One launch group: length-sorted sequences packed across lanes.
+    """One modelled launch group: length-sorted sequences packed across
+    lanes.
 
     Attributes
     ----------
@@ -107,6 +130,11 @@ class LaneBucket:
         return self.lanes_padded * self.width
 
 
+def _check_waste(max_waste: float) -> None:
+    if not 0.0 <= max_waste < 1.0:
+        raise KernelError("max_waste must be in [0, 1)")
+
+
 def pack_length_buckets(
     lengths: np.ndarray, max_waste: float = DEFAULT_MAX_WASTE
 ) -> list[LaneBucket]:
@@ -126,8 +154,7 @@ def pack_length_buckets(
     ``KernelCounters.padding_fraction``.  Zero-length sequences never
     join a bucket - they have no DP rows.
     """
-    if not 0.0 <= max_waste < 1.0:
-        raise KernelError("max_waste must be in [0, 1)")
+    _check_waste(max_waste)
     lengths = np.asarray(lengths)
     order = np.argsort(-lengths, kind="stable")
     sorted_lens = lengths[order]
@@ -171,39 +198,61 @@ def _live_prefix_counts(lengths: np.ndarray, width: int) -> np.ndarray:
     return lengths.size - np.cumsum(counts)[:width]
 
 
-def _charge_setup(counters: KernelCounters | None, batch: PaddedBatch,
-                  buckets: list[LaneBucket]) -> None:
-    if counters is None:
-        return
-    counters.sequences += batch.n_seqs
-    counters.global_bytes += int(
-        sum(packed_stream_bytes(int(L)) for L in batch.lengths)
-    )
-    for b in buckets:
-        grid = b.grid_cells()
-        counters.grid_cells += grid
-        counters.padding_cells += grid - int(batch.lengths[b.indices].sum())
+def _lane_groups(lengths: np.ndarray, M: int) -> list[np.ndarray]:
+    """The host execution schedule: batch positions of the non-empty
+    lanes, sorted by length descending (stable), cut into sweeps of at
+    most ``_GROUP_CELLS // (M + 1)`` lanes."""
+    order = np.argsort(-lengths, kind="stable")
+    n_live = int(np.count_nonzero(lengths > 0))
+    cap = max(1, _GROUP_CELLS // (M + 1))
+    return [order[start:start + cap] for start in range(0, n_live, cap)]
 
 
-def _charge_row(counters: KernelCounters, p: int, M: int,
-                config: MemoryConfig) -> None:
-    """Event tally for one lockstep row over a ``p``-lane live prefix.
+def _charge_launch(counters: KernelCounters, batch: PaddedBatch,
+                   max_waste: float, charged: np.ndarray, M: int,
+                   config: MemoryConfig) -> None:
+    """Event tally of the modelled launch: the length buckets of
+    :func:`pack_length_buckets`, whatever the host sweep looked like.
 
+    ``charged[s]`` is the number of lockstep rows sequence ``s`` was
+    live for: its length, or ``retire_row + 1`` when it retired on
+    overflow.  In a bucket, row ``i`` runs ``ceil(live_i / 32)`` warps
+    over the ``live_i`` lanes with ``charged > i``; summed over rows,
+    warp ``w`` contributes the ``(32 w + 1)``-th largest charged count.
     Per warp the lanes sweep the model serially: one conflict-free
     warp-wide load + store per cell (the lane-major DP row), plus the
     emission fetch from shared or global memory - the same convention
     the per-warp kernels charge, transposed to lane-per-sequence.
     """
-    n_warps = -(-p // WARP_SIZE)
-    counters.rows += p
-    counters.strips += n_warps
-    counters.cells += p * M
-    counters.shared_loads += n_warps * M
-    counters.shared_stores += n_warps * M
+    buckets = pack_length_buckets(batch.lengths, max_waste=max_waste)
+    counters.sequences += batch.n_seqs
+    counters.global_bytes += int(
+        sum(packed_stream_bytes(int(L)) for L in batch.lengths)
+    )
+    if not buckets:
+        return
+    idx = np.concatenate([b.indices for b in buckets])
+    lanes = np.array([b.lanes for b in buckets])
+    bucket_of = np.repeat(np.arange(lanes.size), lanes)
+    grid = sum(b.grid_cells() for b in buckets)
+    counters.grid_cells += grid
+    counters.padding_cells += grid - int(batch.lengths[idx].sum())
+    rows_of = charged[idx]
+    # bucket_of is already grouped, so the lexsort only reorders lanes
+    # inside their bucket: charged rows, largest first
+    ranked = rows_of[np.lexsort((-rows_of, bucket_of))]
+    rank = np.arange(idx.size) - (np.cumsum(lanes) - lanes)[bucket_of]
+    rows = int(rows_of.sum())
+    strips = int(ranked[rank % WARP_SIZE == 0].sum())
+    counters.rows += rows
+    counters.strips += strips
+    counters.cells += rows * M
+    counters.shared_loads += strips * M
+    counters.shared_stores += strips * M
     if config is MemoryConfig.SHARED:
-        counters.shared_loads += n_warps * M  # emission fetch
+        counters.shared_loads += strips * M  # emission fetch
     else:
-        counters.global_bytes += p * M  # emission fetch
+        counters.global_bytes += rows * M  # emission fetch
 
 
 def msv_batched_kernel(
@@ -225,13 +274,13 @@ def msv_batched_kernel(
     """
     batch = _as_batch(database)
     n, M = batch.n_seqs, profile.M
+    _check_waste(max_waste)
     san = resolve_sanitizer(sanitize)
-    buckets = pack_length_buckets(batch.lengths, max_waste=max_waste)
-    _charge_setup(counters, batch, buckets)
 
     # zero-length sequences process no rows: final xJ stays 0
     scores = np.full(n, profile.final_score_nats(0), dtype=np.float64)
     overflowed = np.zeros(n, dtype=bool)
+    charged = batch.lengths.astype(np.int64)
 
     rbv_u8 = profile.rbv.astype(np.uint8)  # biased costs all fit u8
     bias = np.uint8(profile.bias)
@@ -241,11 +290,10 @@ def msv_batched_kernel(
     overflow_at = np.uint8(min(MSV_BYTE_MAX, profile.overflow_threshold))
     stride = conflict_free_lane_stride(M + 1)  # u8 row, cell 0 = -inf
 
-    for bucket in buckets:
-        idx = bucket.indices
-        width = bucket.width
-        codes = batch.codes[idx, :width]
+    for idx in _lane_groups(batch.lengths, M):
         lens = batch.lengths[idx]
+        width = int(lens[0])
+        codes = batch.codes[idx, :width]
         live = _live_prefix_counts(lens, width)
         k = idx.size
         rows = np.zeros((k, M + 1), dtype=np.uint8)
@@ -273,7 +321,6 @@ def msv_batched_kernel(
                 # guardrail: cells at the u8 ceiling after the biased
                 # add - matches the reference engine's guard tally
                 counters.saturations += int(np.count_nonzero(sat))
-                _charge_row(counters, p, M, config)
             sv += bias  # u8 wraps where sat; repaired next line
             sv[sat] = MSV_BYTE_MAX
             under = rb > sv
@@ -297,6 +344,7 @@ def msv_batched_kernel(
                 retire = np.flatnonzero(bad)
                 scores[idx[retire]] = float("inf")
                 overflowed[idx[retire]] = True
+                charged[idx[retire]] = i + 1
                 keep = np.ones(k, dtype=bool)
                 keep[retire] = False
                 rows, codes, xJ, xB = rows[keep], codes[keep], xJ[keep], xB[keep]
@@ -312,10 +360,12 @@ def msv_batched_kernel(
 
         scores[idx] = ((xJ - profile.tjb) - profile.base) / profile.scale - 3.0
 
-    if san is not None and counters is not None:
-        report = san.report()
-        counters.attach_sanitizer(report)
-        counters.bank_conflict_extra += report.conflict_extra
+    if counters is not None:
+        _charge_launch(counters, batch, max_waste, charged, M, config)
+        if san is not None:
+            report = san.report()
+            counters.attach_sanitizer(report)
+            counters.bank_conflict_extra += report.conflict_extra
     return FilterScores(scores=scores, overflowed=overflowed)
 
 
@@ -333,54 +383,78 @@ def viterbi_batched_kernel(
     Bit-identical to
     :func:`repro.cpu.viterbi_reference.viterbi_score_batch`.  Exactness
     arguments for the fused arithmetic: saturating clips commute with
-    ``max`` over a common interval, so the three entry terms are maxed
-    unclipped in int32 and clipped once; the Delete-chain prefix scan's
-    ``cumsum(tdd)`` is profile-constant and hoisted out of the row loop;
-    the ``(M+1)``-wide state rows carry a permanent -inf column 0 so the
-    node shift is a view, not a concatenate.
+    ``max`` over a common interval, so the entry and insert terms are
+    maxed unclipped in int32 and clipped once (the entry needs no clip
+    before the emission add at all, see ``floor_tbm``); the Delete-chain
+    prefix scan's ``cumsum(tdd)`` is profile-constant and hoisted out of
+    the row loop; the ``(M+1)``-wide state rows carry a permanent -inf
+    column 0 so the node shift is a view, not a concatenate.  The M/I/D
+    rows are one stacked array, double-buffered across rows, so the
+    three entry adds are one call, the two insert adds another, and
+    every row-sized result lands in scratch or in place.
     """
     batch = _as_batch(database)
     n, M = batch.n_seqs, profile.M
+    _check_waste(max_waste)
     san = resolve_sanitizer(sanitize)
-    buckets = pack_length_buckets(batch.lengths, max_waste=max_waste)
-    _charge_setup(counters, batch, buckets)
 
     # zero-length sequences process no rows: xC stays -inf
     scores = np.full(n, float("-inf"), dtype=np.float64)
     overflowed = np.zeros(n, dtype=bool)
+    charged = batch.lengths.astype(np.int64)
 
+    # (3, 1, M) entry into node j from node j - 1 (M, I, D) and (2, 1, M)
+    # stay-on-node moves into I (from M, I), broadcast over lanes
+    enter = np.stack(
+        (profile.enter_mm, profile.enter_im, profile.enter_dm)
+    ).astype(np.int32)[:, None, :]
+    stay = np.stack((profile.tmi, profile.tii)).astype(np.int32)[:, None, :]
+    # xB = max(base, xJ) + N/J -> B is carried with the B -> M entry
+    # cost and the i16 floor folded in: max(floor_tbm, xJ + nj_tbm).  The
+    # floor makes every entry max >= VF_WORD_MIN, and entries never
+    # exceed VF_WORD_MAX (transition words are <= 0, xE < VF_WORD_MAX),
+    # so the entry needs no clip of its own; the prover checks that
+    # range where the entry is stored.
+    nj_tbm = profile.xNJ_move + profile.tbm
+    floor_tbm = max(profile.base + nj_tbm, VF_WORD_MIN)
     # hoisted Delete-chain scan constants (see cpu.viterbi_reference
-    # .exact_d_chain): c[j] = sum of tdd[t] for t < j
-    tmd = profile.tmd.astype(np.int64)
+    # .exact_d_chain): c[j] = sum of tdd[t] for t < j, so the scan seed
+    # max(M + tmd, -inf) - c[j + 1] is max(M + chain_add, chain_floor).
+    # Every tdd cost is <= 0, so the scan stays within
+    # [VF_WORD_MIN + c[M], VF_WORD_MAX - c[M]]: int32 unless the model
+    # has ~65k nodes of -inf D->D links.
     c = np.concatenate(([0], np.cumsum(profile.tdd.astype(np.int64))))
+    i32_ok = c[-1] >= np.iinfo(np.int32).min - VF_WORD_MIN
+    chain_dtype = np.int32 if i32_ok else np.int64
     c_tail = c[1 : M + 1]
-    c_body = c[1:M]
+    chain_add = (profile.tmd - c_tail).astype(chain_dtype)
+    chain_floor = (VF_WORD_MIN - c_tail).astype(chain_dtype)
+    c_body = c[1:M].astype(chain_dtype)
     # i16 rows for three matrices per lane: M, I, D
     stride = conflict_free_lane_stride(3 * 2 * (M + 1))
     base_i, base_d = 2 * (M + 1), 4 * (M + 1)
 
-    for bucket in buckets:
-        idx = bucket.indices
-        width = bucket.width
-        codes = batch.codes[idx, :width]
+    for idx in _lane_groups(batch.lengths, M):
         lens = batch.lengths[idx]
+        width = int(lens[0])
+        codes = batch.codes[idx, :width]
         live = _live_prefix_counts(lens, width)
         k = idx.size
-        # column 0 is the permanent minus-infinity boundary: the
-        # "previous node" shift becomes the view [:, :M]
-        Mp = np.full((k, M + 1), VF_WORD_MIN, dtype=np.int32)
-        Ip = Mp.copy()
-        Dp = Mp.copy()
-        xJ = np.full(k, VF_WORD_MIN, dtype=np.int64)
-        xC = xJ.copy()
-        xB = np.full(k, profile.init_xB, dtype=np.int64)
+        # stacked M/I/D rows, previous and current; column 0 is the
+        # permanent minus-infinity boundary (the "previous node" shift
+        # is the view [..., :M]) and D column 1 is never entered
+        prev = np.full((3, k, M + 1), VF_WORD_MIN, dtype=np.int32)
+        cur = prev.copy()
+        terms = np.empty((3, k, M), dtype=enter.dtype)
+        chain = np.empty((k, M), dtype=chain_dtype)
+        xC = np.full(k, VF_WORD_MIN, dtype=np.int32)
+        xJ = xC.copy()
+        xB = np.full(k, floor_tbm, dtype=np.int32)
 
         for i in range(width):
             p = int(live[i])
             if p == 0:
                 break
-            Mp_s, Ip_s, Dp_s = Mp[:p], Ip[:p], Dp[:p]
-            rw = profile.rwv[codes[:p, i]]
             if san is not None:
                 san.begin_row(f"vit_batched:row{i}")
                 lanes = np.arange(min(WARP_SIZE, p), dtype=np.int64) * stride
@@ -389,70 +463,71 @@ def viterbi_batched_kernel(
                     san.shared_load(lanes + base_b + j2,
                                     f"vit_batched:dep-load:{mat}",
                                     dependency=True)
-            xBv = (xB[:p] + profile.tbm).astype(np.int32)
-            sv = np.maximum(
-                xBv[:, None], Mp_s[:, :M] + profile.enter_mm
-            )
-            np.maximum(sv, Ip_s[:, :M] + profile.enter_im, out=sv)
-            np.maximum(sv, Dp_s[:, :M] + profile.enter_dm, out=sv)
-            clip_i16(sv, out=sv)
-            Mv = sv + rw
-            clip_i16(Mv, out=Mv)
-            if counters is not None:
+            # the wide sums and maxima run in the terms scratch; only
+            # clipped words are written into the state rows
+            last, row = prev[:, :p], cur[:, :p]
+            t3 = terms[:, :p]
+            np.add(last[:, :, :M], enter, out=t3)
+            sv = t3[0]
+            np.maximum(sv, t3[1], out=sv)
+            np.maximum(sv, t3[2], out=sv)
+            mv = row[0, :, 1:]
+            np.maximum(sv, xB[:p, None], out=mv)
+            t2 = t3[1:]
+            np.add(last[:2, :, 1:], stay, out=t2)
+            ti = t3[1]
+            np.maximum(ti, t3[2], out=ti)
+            iv = row[1, :, 1:]
+            clip_i16(ti, out=iv)
+            np.add(mv, profile.rwv[codes[:p, i]], out=sv)
+            clip_i16(sv, out=mv)
+            if counters is not None and mv.min() == VF_WORD_MIN:
                 # guardrail: M cells pinned at the i16 floor, the same
                 # tally the reference engine keeps
                 counters.saturations += int(
-                    np.count_nonzero(Mv == VF_WORD_MIN)
+                    np.count_nonzero(mv == VF_WORD_MIN)
                 )
-                _charge_row(counters, p, M, config)
-            Iv = np.maximum(
-                Mp_s[:, 1:] + profile.tmi, Ip_s[:, 1:] + profile.tii
-            )
-            clip_i16(Iv, out=Iv)
-            start = np.maximum(Mv.astype(np.int64) + tmd, VF_WORD_MIN)
-            h = np.maximum.accumulate(start - c_tail, axis=-1)
-            Dv = np.full((p, M), VF_WORD_MIN, dtype=np.int64)
+            h = chain[:p]
+            np.add(mv, chain_add, out=h)
+            np.maximum(h, chain_floor, out=h)
+            np.maximum.accumulate(h, axis=1, out=h)
+            hb = h[:, :-1]
+            hb += c_body
             # clip_i16 == np.maximum(., VF_WORD_MIN) here: every tdd
             # cost is <= 0, so c_body + h never exceeds the i16 ceiling;
             # the explicit ceiling makes the word range locally provable
-            Dv[:, 1:] = clip_i16(c_body + h[:, :-1])
-            Mp_s[:, 1:] = Mv
-            Ip_s[:, 1:] = Iv
-            Dp_s[:, 1:] = Dv
+            dv = row[2, :, 2:]
+            clip_i16(hb, out=dv)
             if san is not None:
                 for mat, base_b in (("m", 0), ("i", base_i), ("d", base_d)):
                     san.shared_store(lanes + base_b + 2 * (i % M) + 2,
                                      f"vit_batched:store:{mat}")
-            xE = Mv.max(axis=1)
+            xE = mv.max(axis=1)
+            prev, cur = cur, prev
 
-            bad = xE >= VF_WORD_MAX
-            if bad.any():
+            if xE.max() >= VF_WORD_MAX:
+                bad = xE >= VF_WORD_MAX
                 good = np.flatnonzero(~bad)
-                xE_g = xE[good].astype(np.int64)
+                xE_g = xE[good]
                 xC[good] = np.maximum(xC[good], xE_g + profile.xE_move)
                 xJ[good] = np.maximum(xJ[good], xE_g + profile.xE_loop)
-                xB[good] = np.maximum(
-                    profile.base + profile.xNJ_move,
-                    xJ[good] + profile.xNJ_move,
-                )
+                xB[good] = np.maximum(xJ[good] + nj_tbm, floor_tbm)
                 retire = np.flatnonzero(bad)
                 scores[idx[retire]] = float("inf")
                 overflowed[idx[retire]] = True
+                charged[idx[retire]] = i + 1
                 keep = np.ones(k, dtype=bool)
                 keep[retire] = False
-                Mp, Ip, Dp = Mp[keep], Ip[keep], Dp[keep]
-                codes, xJ, xC, xB = codes[keep], xJ[keep], xC[keep], xB[keep]
+                prev, cur, codes = prev[:, keep], cur[:, keep], codes[keep]
+                xC, xJ, xB = xC[keep], xJ[keep], xB[keep]
                 lens, idx = lens[keep], idx[keep]
                 k = idx.size
                 live = _live_prefix_counts(lens, width)
             else:
-                xE64 = xE.astype(np.int64)
-                xC[:p] = np.maximum(xC[:p], xE64 + profile.xE_move)
-                xJ[:p] = np.maximum(xJ[:p], xE64 + profile.xE_loop)
-                xB[:p] = np.maximum(
-                    profile.base + profile.xNJ_move,
-                    xJ[:p] + profile.xNJ_move,
-                )
+                xc, xj, xb = xC[:p], xJ[:p], xB[:p]
+                np.maximum(xc, xE + profile.xE_move, out=xc)
+                np.maximum(xj, xE + profile.xE_loop, out=xj)
+                np.maximum(xj + nj_tbm, floor_tbm, out=xb)
 
         scores[idx] = np.where(
             xC == VF_WORD_MIN,
@@ -460,8 +535,10 @@ def viterbi_batched_kernel(
             (xC + profile.xNJ_move - profile.base) / profile.scale - 2.0,
         )
 
-    if san is not None and counters is not None:
-        report = san.report()
-        counters.attach_sanitizer(report)
-        counters.bank_conflict_extra += report.conflict_extra
+    if counters is not None:
+        _charge_launch(counters, batch, max_waste, charged, M, config)
+        if san is not None:
+            report = san.report()
+            counters.attach_sanitizer(report)
+            counters.bank_conflict_extra += report.conflict_extra
     return FilterScores(scores=scores, overflowed=overflowed)

@@ -39,6 +39,9 @@ U8_ZERO = 0
 #: Floor of the signed word system (acts as minus infinity in ViterbiFilter).
 I16_NEG_INF = VF_WORD_MIN
 
+_I16_LO = np.int32(VF_WORD_MIN)
+_I16_HI = np.int32(VF_WORD_MAX)
+
 
 def sat_add_u8(a, b, guard=None):
     """``_mm_adds_epu8``: unsigned byte addition saturating at 255.
@@ -91,8 +94,13 @@ def clip_i16(a, out=None):
     monotone, clipping after a max-of-sums yields exactly the same
     values as maxing the per-term :func:`sat_add_i16` results, at a
     third of the passes over the lane-major state rows.
+
+    ``a`` must be an array.  The bounds are typed NumPy scalars because
+    ``np.clip`` with Python ints resolves both through ``np.iinfo`` on
+    every call, which costs three times the clamp itself on the
+    kernels' row-sized operands.
     """
-    return np.clip(a, VF_WORD_MIN, VF_WORD_MAX, out=out)
+    return a.clip(_I16_LO, _I16_HI, out=out)
 
 
 def floor_i16(a):

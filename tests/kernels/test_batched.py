@@ -1,6 +1,8 @@
 """Cross-sequence batched MSV/P7Viterbi kernels: packing, accuracy,
 counters and sanitizer behaviour."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,10 @@ from repro.cpu import (
     viterbi_score_batch,
     viterbi_score_sequence,
 )
+from repro.constants import VF_WORD_MIN
 from repro.gpu import KernelCounters
 from repro.hmm import SearchProfile, sample_hmm
-from repro.kernels import msv_warp_kernel, viterbi_warp_kernel
+from repro.kernels import MemoryConfig, msv_warp_kernel, viterbi_warp_kernel
 from repro.kernels.batched import (
     DEFAULT_MAX_WASTE,
     msv_batched_kernel,
@@ -150,6 +153,27 @@ class TestAccuracy:
             assert np.array_equal(ref.overflowed, got.overflowed)
         assert msv_score_batch(mp, db).overflowed.any()  # the point
 
+    def test_wide_delete_chain_takes_the_int64_scan(self):
+        """More than 2**16 nodes of -inf D->D links push the Delete-chain
+        scan past the int32 range; the kernel must switch to int64 and
+        stay exact.  Only the last nodes score, and only through D->M,
+        so a wrapped scan would lose the hit."""
+        _, vp = _profiles(8, seed=11)
+        M = (1 << 16) + 64
+        never = np.full(M, VF_WORD_MIN, dtype=np.int32)
+        free = np.zeros(M, dtype=np.int32)
+        rwv = np.full((vp.rwv.shape[0], M), VF_WORD_MIN, dtype=np.int32)
+        rwv[:, -32:] = 2000
+        wide = dataclasses.replace(
+            vp, M=M, rwv=rwv, enter_mm=never, enter_im=never,
+            enter_dm=free, tmi=never, tii=never, tmd=free, tdd=never,
+        )
+        batch = _padded_batch([6, 0, 4], np.random.default_rng(12))
+        ref = viterbi_score_batch(wide, batch)
+        got = viterbi_batched_kernel(wide, batch)
+        assert np.array_equal(ref.scores, got.scores)
+        assert np.array_equal(ref.overflowed, got.overflowed)
+
     @settings(max_examples=25, deadline=None)
     @given(
         lengths=st.lists(st.integers(min_value=0, max_value=150),
@@ -213,6 +237,90 @@ class TestCounters:
             batched(prof, db, counters=c)
             assert c.shuffles == 0
             assert c.syncthreads == 0
+
+
+def _pin_case(name):
+    """Seeded inputs of the counter pins: ``mixed`` lengths (0 and 1
+    included, several multi-warp buckets) or a ``homolog`` batch whose
+    strong hits retire lanes mid-kernel in both kernels."""
+    if name == "mixed":
+        sp = SearchProfile(sample_hmm(45, np.random.default_rng(101)), L=120)
+        rng = np.random.default_rng(102)
+        lengths = np.concatenate([[0, 1, 0, 1, 2], rng.integers(0, 320, 150)])
+        return sp, _padded_batch(lengths, rng)
+    hmm = sample_hmm(70, np.random.default_rng(201))
+    db = homolog_database(120, 110, np.random.default_rng(202), hmm=hmm,
+                          homolog_fraction=0.6)
+    return SearchProfile(hmm, L=110), db.padded_batch()
+
+
+def _pin(rows, strips, cells, shared_loads, shared_stores, global_bytes,
+         sequences, grid_cells, padding_cells):
+    return dict(
+        rows=rows, strips=strips, cells=cells, shared_loads=shared_loads,
+        shared_stores=shared_stores, bank_conflict_extra=0,
+        global_bytes=global_bytes, shuffles=0, votes=0, syncthreads=0,
+        lazyf_rows_checked=0, lazyf_passes=0, lazyf_extra_passes=0,
+        sequences=sequences, saturations=0, grid_cells=grid_cells,
+        padding_cells=padding_cells,
+    )
+
+
+_MIXED_SHARED = _pin(25625, 940, 1153125, 84600, 42300, 17316, 155, 30080, 4455)
+_MIXED_GLOBAL = _pin(25625, 940, 1153125, 42300, 42300, 1170441, 155, 30080,
+                     4455)
+
+#: (case, kernel, config) -> the complete KernelCounters field dict.  The
+#: figures are the modelled launch geometry (length buckets of 32-lane
+#: warps, per-row strips, retired lanes charged through their overflow
+#: row), so they must not depend on how the host schedules the sweep.
+COUNTER_PINS = {
+    ("mixed", "msv", "SHARED"): _MIXED_SHARED,
+    ("mixed", "msv", "GLOBAL"): _MIXED_GLOBAL,
+    ("mixed", "vit", "SHARED"): _MIXED_SHARED,
+    ("mixed", "vit", "GLOBAL"): _MIXED_GLOBAL,
+    ("homolog", "msv", "SHARED"): _pin(7850, 589, 549500, 82460, 41230, 8856,
+                                       120, 23104, 10141),
+    ("homolog", "msv", "GLOBAL"): _pin(7850, 589, 549500, 41230, 41230,
+                                       558356, 120, 23104, 10141),
+    ("homolog", "vit", "SHARED"): _pin(8624, 601, 603680, 84140, 42070, 8856,
+                                       120, 23104, 10141),
+    ("homolog", "vit", "GLOBAL"): _pin(8624, 601, 603680, 42070, 42070,
+                                       612536, 120, 23104, 10141),
+}
+
+
+class TestCounterPins:
+    @pytest.mark.parametrize("key", sorted(COUNTER_PINS))
+    def test_counter_fields_pinned(self, key):
+        case, kernel, config = key
+        sp, batch = _pin_case(case)
+        if kernel == "msv":
+            prof, batched = MSVByteProfile.from_profile(sp), msv_batched_kernel
+        else:
+            prof = ViterbiWordProfile.from_profile(sp)
+            batched = viterbi_batched_kernel
+        c = KernelCounters()
+        result = batched(prof, batch, config=MemoryConfig[config], counters=c)
+        assert c.as_dict() == COUNTER_PINS[key]
+        assert result.overflowed.any() == (case == "homolog")
+
+    def test_more_lanes_than_one_sweep_holds(self):
+        """300 short lanes at M=1100 exceed the per-sweep lane cap, so
+        the host runs several sweeps; scores stay bit-identical."""
+        sp = SearchProfile(sample_hmm(1100, np.random.default_rng(301)), L=40)
+        rng = np.random.default_rng(302)
+        batch = _padded_batch(rng.integers(0, 40, 300), rng)
+        for prof, batched, ref_fn in (
+            (MSVByteProfile.from_profile(sp), msv_batched_kernel,
+             msv_score_batch),
+            (ViterbiWordProfile.from_profile(sp), viterbi_batched_kernel,
+             viterbi_score_batch),
+        ):
+            ref = ref_fn(prof, batch)
+            got = batched(prof, batch)
+            assert np.array_equal(ref.scores, got.scores)
+            assert np.array_equal(ref.overflowed, got.overflowed)
 
 
 class TestSanitizer:
